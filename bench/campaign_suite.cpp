@@ -57,8 +57,8 @@ namespace {
 using namespace parmis;
 
 /// Intra-cell probe: one PaRMIS run on the 12-app global scenario with
-/// the evaluator and acquisition scoring wired through a pool of
-/// `threads`, returning (wall seconds, PHV of the final front).
+/// the evaluator and the acquisition's front sampler wired through a
+/// pool of `threads`, returning (wall seconds, PHV of the final front).
 std::pair<double, double> intra_cell_run(std::size_t threads) {
   exec::ThreadPool pool(threads);
   scenario::ScenarioSpec spec = scenario::make_scenario("xu3-all12-te");

@@ -6,42 +6,129 @@
 #include "common/error.hpp"
 #include "exec/thread_pool.hpp"
 #include "gp/rff.hpp"
+#include "numerics/batch.hpp"
 #include "numerics/distributions.hpp"
 #include "numerics/matrix.hpp"
 #include "obs/obs.hpp"
 
 namespace parmis::core {
 
+namespace {
+
+constexpr std::size_t kLanes = num::kRffLanes;
+
+/// Front-sampler workspace, sized once per acquisition for the largest
+/// batch NSGA-II hands over (one population).
+struct FrontScratch {
+  std::size_t max_blocks = 0;
+  num::AlignedBuffer blocks;  // max_blocks lane blocks, d x kLanes each
+  num::AlignedBuffer tiles;   // k x max_blocks tiles, M x kLanes each
+};
+
+/// The k sampled objectives at every point of one NSGA-II batch.  The
+/// points are packed into lane blocks on the calling thread; the
+/// (draw x feature-chunk) tasks only run the lane kernel into their own
+/// tile rows, so they allocate nothing; the per-point sums then run
+/// serially in feature order, as SampledFunction::operator() does.
+std::vector<num::Vec> evaluate_batch(
+    const std::vector<gp::SampledFunction>& draws,
+    const std::vector<num::Vec>& xs, FrontScratch& scratch,
+    exec::ThreadPool* pool) {
+  const std::size_t n = xs.size(), k = draws.size();
+  if (n == 0) return {};
+  const std::size_t d = draws.front().input_dim();
+  const std::size_t m_count = draws.front().num_features();
+  const std::size_t blocks = (n + kLanes - 1) / kLanes;
+  ensure(blocks <= scratch.max_blocks, "acquisition: front batch too large");
+  const std::size_t block_size = d * kLanes, tile_size = m_count * kLanes;
+  double* const block_data = scratch.blocks.data();
+  double* const tile_data = scratch.tiles.data();
+
+  const auto row = [&xs](std::size_t i) { return xs[i].data(); };
+  for (std::size_t b = 0; b < blocks; ++b) {
+    num::pack_rff_lanes(row, n, b * kLanes, d, block_data + b * block_size);
+  }
+  constexpr std::size_t kChunk = InformationGainAcquisition::kFeatureChunk;
+  const std::size_t chunks = (m_count + kChunk - 1) / kChunk;
+  const auto task = [&](std::size_t t) {
+    const std::size_t j = t / chunks;
+    const std::size_t m_begin = (t % chunks) * kChunk;
+    const std::size_t m_end = std::min(m_begin + kChunk, m_count);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      draws[j].feature_terms(block_data + b * block_size, m_begin, m_end,
+                             tile_data + (j * blocks + b) * tile_size);
+    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(k * chunks, task);
+  } else {
+    for (std::size_t t = 0; t < k * chunks; ++t) task(t);
+  }
+
+  std::vector<num::Vec> objs(n, num::Vec(k));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      objs[i][j] = draws[j].lane_value(
+          tile_data + (j * blocks + i / kLanes) * tile_size, i % kLanes);
+    }
+  }
+  return objs;
+}
+
+}  // namespace
+
 InformationGainAcquisition::InformationGainAcquisition(
     const std::vector<gp::GpRegressor>& models, const num::Vec& lower,
-    const num::Vec& upper, const AcquisitionConfig& config, Rng& rng)
+    const num::Vec& upper, const AcquisitionConfig& config, Rng& rng,
+    exec::ThreadPool* pool)
     : models_(&models) {
   require(!models.empty(), "acquisition: need at least one GP model");
   for (const auto& m : models) {
     require(m.has_data(), "acquisition: all GP models need data");
   }
   require(config.num_mc_samples >= 1, "acquisition: S must be >= 1");
+  require(lower.size() == models.front().input_dim(),
+          "acquisition: theta box dimension does not match the GP models");
 
   const std::size_t k = models.size();
+  const std::size_t d = lower.size();
+  const std::size_t features = config.rff_features;
+  const std::size_t population = config.front_sampler.population_size;
+  FrontScratch scratch;
+  scratch.max_blocks = (population + kLanes - 1) / kLanes;
+  scratch.blocks = num::AlignedBuffer(scratch.max_blocks * d * kLanes);
+  scratch.tiles =
+      num::AlignedBuffer(k * scratch.max_blocks * features * kLanes);
+
   for (std::size_t s = 0; s < config.num_mc_samples; ++s) {
     // 1) Draw one posterior function per objective (Thompson-style).
     std::vector<gp::SampledFunction> draws;
     draws.reserve(k);
-    for (const auto& m : models) {
-      draws.push_back(
-          gp::sample_posterior_function(m, rng, config.rff_features));
+    {
+      PARMIS_TRACE_SPAN_D("acq", "sample_posterior",
+                          "sample=%zu;features=%zu;objectives=%zu", s,
+                          features, k);
+      for (const auto& m : models) {
+        draws.push_back(gp::sample_posterior_function(m, rng, features));
+      }
     }
 
     // 2) Solve the k-objective minimization over the sampled functions
     //    with NSGA-II to obtain the sampled Pareto front O*_s.
-    moo::MultiObjectiveFn fn = [&draws](const num::Vec& theta) {
-      num::Vec o(draws.size());
-      for (std::size_t j = 0; j < draws.size(); ++j) o[j] = draws[j](theta);
-      return o;
-    };
     moo::Nsga2Config nsga = config.front_sampler;
     nsga.seed = rng.next_u64();
-    const moo::Nsga2Result res = moo::nsga2_minimize(fn, lower, upper, nsga);
+    moo::Nsga2Result res;
+    {
+      PARMIS_TRACE_SPAN_D("acq", "front_sample",
+                          "sample=%zu;features=%zu;population=%zu;"
+                          "generations=%zu",
+                          s, features, population, nsga.generations);
+      const moo::BatchObjectiveFn fn =
+          [&](const std::vector<num::Vec>& xs) {
+            return evaluate_batch(draws, xs, scratch, pool);
+          };
+      res = moo::nsga2_minimize_batch(fn, lower, upper, nsga);
+    }
     ensure(!res.pareto_set.empty(), "acquisition: empty sampled front");
 
     std::vector<num::Vec> front;

@@ -163,12 +163,14 @@ num::Vec Parmis::maximize_acquisition(
 
   // --- pick argmax, then a short stochastic local refinement ---
   // The whole candidate pool is scored through the batched GP backend
-  // (one predict_many sweep per model per block; the worker pool fans
-  // out over blocks).  Batched scores are bit-identical to per-candidate
-  // acq.value() calls, and the argmax scan below is index-ordered with a
-  // strict comparison, so the winner is the same at every block split
-  // and thread count.
-  const std::vector<double> scores = acq.values(pool, config_.pool);
+  // (one predict_many sweep per model per block).  Batched scores are
+  // bit-identical to per-candidate acq.value() calls, and the argmax
+  // scan below is index-ordered with a strict comparison.  Scoring
+  // stays serial even with a pool: pooled blocks would allocate their
+  // query matrices on worker threads, and the per-thread malloc arenas
+  // that creates raised a 4-thread paper-scale cell's peak RSS by about
+  // 14% for a layer worth about 6% of the cell (docs/perf.md).
+  const std::vector<double> scores = acq.values(pool);
   std::size_t best = 0;
   double best_val = -1.0;
   for (std::size_t i = 0; i < pool.size(); ++i) {
@@ -199,7 +201,8 @@ void Parmis::step() {
   fit_models();
   Rng acq_rng = rng_.split();
   const InformationGainAcquisition acq(models_, lower_, upper_,
-                                       config_.acquisition, acq_rng);
+                                       config_.acquisition, acq_rng,
+                                       config_.pool);
   const num::Vec theta = maximize_acquisition(acq);
   record_evaluation(theta, evaluate_(theta));
   ++iterations_done_;

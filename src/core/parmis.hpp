@@ -57,10 +57,12 @@ struct ParmisConfig {
   bool track_convergence = true;     ///< record PHV after every iteration
   std::optional<num::Vec> phv_reference;  ///< fixed PHV reference point
 
-  /// Optional worker pool for scoring the acquisition candidate pool.
-  /// alpha(theta) evaluations are independent const reads of the GP
-  /// models, and the argmax reduction is index-ordered, so the chosen
-  /// theta is identical at every pool size.  nullptr = serial scoring.
+  /// Optional worker pool for the acquisition's front sampler: each
+  /// NSGA-II generation fans its (draw x feature-chunk) lane-kernel
+  /// tasks over it (see InformationGainAcquisition).  Every task writes
+  /// its own buffer rows and the per-point sums run serially, so the
+  /// search is bitwise identical at every pool size.  Candidate scoring
+  /// stays serial.  nullptr = serial front sampling.
   exec::ThreadPool* pool = nullptr;
 };
 

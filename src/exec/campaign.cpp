@@ -132,7 +132,8 @@ CellResult CampaignRunner::run_cell(const scenario::ScenarioSpec& spec,
                                     const std::string& method_name,
                                     std::uint64_t seed,
                                     std::size_t anchor_limit,
-                                    const methods::MethodConfigSet& configs) {
+                                    const methods::MethodConfigSet& configs,
+                                    ThreadPool* pool) {
   // Observation only: the span and counters below never feed back into
   // the cell computation (digest neutrality, docs/observability.md).
   PARMIS_TRACE_SPAN_D("campaign", "cell", "scenario=%s;method=%s;seed=%llu",
@@ -177,8 +178,9 @@ CellResult CampaignRunner::run_cell(const scenario::ScenarioSpec& spec,
     cell.num_apps = apps.size();
     for (const auto& o : objectives) cell.objective_names.push_back(o.name());
 
-    const methods::CellContext ctx{spec,        platform, apps, objectives,
-                                   eval_config, seed,     anchor_limit};
+    const methods::CellContext ctx{spec,        platform, apps,
+                                   objectives,  eval_config,
+                                   seed,        anchor_limit, pool};
     methods::MethodOutput out = method.run(ctx, configs.find(method_name));
     cell.front = std::move(out.front);
     cell.pareto_thetas = std::move(out.pareto_thetas);
@@ -310,7 +312,7 @@ CampaignReport CampaignRunner::run() {
       PARMIS_COUNTER_ADD("parmis_campaign_cache_misses_total", 1);
     }
     results[i] = run_cell(*cells[i].scenario, cells[i].method, cells[i].seed,
-                          anchor_limit, config_.method_configs);
+                          anchor_limit, config_.method_configs, &pool);
     if (cache != nullptr) cache->store(keys[i], results[i]);
   });
   report.cache_hits = hits.load();

@@ -202,10 +202,13 @@ class CampaignRunner {
   /// Runs one cell in isolation (also the unit-test entry point).  The
   /// method is resolved through methods::MethodRegistry; `configs` may
   /// carry a typed config for it (absent entry = method defaults).
+  /// `pool` (optional) reaches the method through CellContext::pool;
+  /// the cell's result does not depend on it.
   static CellResult run_cell(const scenario::ScenarioSpec& spec,
                              const std::string& method, std::uint64_t seed,
                              std::size_t anchor_limit,
-                             const methods::MethodConfigSet& configs = {});
+                             const methods::MethodConfigSet& configs = {},
+                             ThreadPool* pool = nullptr);
 
   /// With a cache configured: (cells already cached, total cells) —
   /// what a resumed run would replay vs execute.  (0, total) otherwise.

@@ -5,7 +5,7 @@
 // slot i of its output produces bitwise-identical results at every
 // thread count; (2) nesting safety — the calling thread participates in
 // draining its own loop, so a parallel_for issued from inside a pool
-// task (e.g. PaRMIS acquisition scoring inside a campaign cell) cannot
+// task (e.g. the PaRMIS front sampler inside a campaign cell) cannot
 // deadlock even when every worker is busy; (3) simplicity — a single
 // mutex-protected queue, no work stealing, no futures.
 //

@@ -1,5 +1,6 @@
 #include "gp/rff.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -10,20 +11,26 @@ namespace parmis::gp {
 namespace {
 
 /// Fills `phi` (rows x M) with the cosine feature map of `X` (rows x d)
-/// under frequencies `omega` (M x d), phases and scale.
+/// under frequencies `omega` (M x d), phases and scale, kRffLanes
+/// training rows per lane block.
 void build_feature_matrix(const num::Matrix& X, const num::Matrix& omega,
                           const num::Vec& phase, double feat_scale,
                           num::Matrix& phi) {
+  constexpr std::size_t kLanes = num::kRffLanes;
   const std::size_t rows = X.rows(), d = X.cols(), m_count = omega.rows();
   phi = num::Matrix(rows, m_count);
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* xi = X.row_view(i).data();
-    double* prow = phi.row_view(i).data();
-    for (std::size_t m = 0; m < m_count; ++m) {
-      double dotp = phase[m];
-      const double* wrow = omega.row_view(m).data();
-      for (std::size_t c = 0; c < d; ++c) dotp += wrow[c] * xi[c];
-      prow[m] = feat_scale * std::cos(dotp);
+  if (rows == 0) return;
+  const num::Vec coef(m_count, feat_scale);
+  num::AlignedBuffer block(d * kLanes), tile(m_count * kLanes);
+  const auto row = [&X](std::size_t i) { return X.row_view(i).data(); };
+  for (std::size_t first = 0; first < rows; first += kLanes) {
+    num::pack_rff_lanes(row, rows, first, d, block.data());
+    num::rff_lane_terms(block.data(), d, omega.data().data(), phase.data(),
+                        coef.data(), 0, m_count, tile.data());
+    const std::size_t lanes = std::min(kLanes, rows - first);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      double* prow = phi.row_view(first + l).data();
+      for (std::size_t m = 0; m < m_count; ++m) prow[m] = tile[m * kLanes + l];
     }
   }
 }
@@ -37,7 +44,44 @@ double SampledFunction::operator()(const num::Vec& x) const {
     double dotp = phase_[m];
     const double* wrow = omega_.data().data() + m * omega_.cols();
     for (std::size_t c = 0; c < x.size(); ++c) dotp += wrow[c] * x[c];
-    f += weights_[m] * feat_scale_ * std::cos(dotp);
+    f += coef_[m] * std::cos(dotp);
+  }
+  return y_mean_ + y_scale_ * f;
+}
+
+num::Vec SampledFunction::evaluate_many(
+    const std::vector<num::Vec>& points) const {
+  const std::size_t n = points.size(), d = input_dim();
+  for (const num::Vec& x : points) {
+    require(x.size() == d, "sampled function: dimension mismatch");
+  }
+  num::Vec out(n);
+  if (n == 0) return out;
+  constexpr std::size_t kLanes = num::kRffLanes;
+  num::AlignedBuffer block(d * kLanes), tile(num_features() * kLanes);
+  const auto row = [&points](std::size_t i) { return points[i].data(); };
+  for (std::size_t first = 0; first < n; first += kLanes) {
+    num::pack_rff_lanes(row, n, first, d, block.data());
+    feature_terms(block.data(), 0, num_features(), tile.data());
+    const std::size_t lanes = std::min(kLanes, n - first);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      out[first + l] = lane_value(tile.data(), l);
+    }
+  }
+  return out;
+}
+
+void SampledFunction::feature_terms(const double* block, std::size_t m_begin,
+                                    std::size_t m_end, double* tile) const {
+  num::rff_lane_terms(block, input_dim(), omega_.data().data(),
+                      phase_.data(), coef_.data(), m_begin, m_end, tile);
+}
+
+double SampledFunction::lane_value(const double* tile,
+                                   std::size_t lane) const {
+  double f = 0.0;
+  for (std::size_t m = 0; m < num_features(); ++m) {
+    f += tile[m * num::kRffLanes + lane];
   }
   return y_mean_ + y_scale_ * f;
 }
@@ -45,15 +89,13 @@ double SampledFunction::operator()(const num::Vec& x) const {
 SampledFunction sample_posterior_function(const GpRegressor& gp, Rng& rng,
                                           std::size_t num_features) {
   require(num_features > 0, "need at least one Fourier feature");
+  require(gp.has_data(), "RFF sampling requires a fitted GP with data");
   const Kernel& kernel = gp.kernel();
-  const std::size_t d =
-      gp.has_data() ? gp.input_dim() : 0;  // resolved below for no-data GPs
-  require(d > 0, "RFF sampling requires a fitted GP with data");
+  const std::size_t d = gp.input_dim();
 
   SampledFunction out;
-  out.feat_scale_ =
-      std::sqrt(2.0 * kernel.signal_variance() /
-                static_cast<double>(num_features));
+  const double feat_scale = std::sqrt(2.0 * kernel.signal_variance() /
+                                      static_cast<double>(num_features));
   out.y_mean_ = gp.target_mean();
   out.y_scale_ = gp.target_scale();
 
@@ -69,7 +111,7 @@ SampledFunction sample_posterior_function(const GpRegressor& gp, Rng& rng,
   // Feature matrix Phi (n x M) over the training inputs.
   const num::Matrix& X = gp.train_inputs();
   num::Matrix Phi;
-  build_feature_matrix(X, out.omega_, out.phase_, out.feat_scale_, Phi);
+  build_feature_matrix(X, out.omega_, out.phase_, feat_scale, Phi);
 
   // Bayesian linear regression posterior over w (normalized target units):
   //   A = Phi^T Phi / sn2 + I,   mean = A^{-1} Phi^T y / sn2,
@@ -88,9 +130,9 @@ SampledFunction sample_posterior_function(const GpRegressor& gp, Rng& rng,
   for (auto& v : z) v = rng.normal();
   const num::Vec noise_w = chol.solve_lower_transposed(z);
 
-  out.weights_.resize(num_features);
+  out.coef_.resize(num_features);
   for (std::size_t m = 0; m < num_features; ++m) {
-    out.weights_[m] = mean_w[m] + noise_w[m];
+    out.coef_[m] = (mean_w[m] + noise_w[m]) * feat_scale;
   }
   return out;
 }

@@ -15,8 +15,11 @@
 #ifndef PARMIS_GP_RFF_HPP
 #define PARMIS_GP_RFF_HPP
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "gp/gp.hpp"
+#include "numerics/batch.hpp"
 #include "numerics/matrix.hpp"
 #include "numerics/vec.hpp"
 
@@ -28,6 +31,21 @@ class SampledFunction {
   /// Evaluates the sampled function at x (dimension must match the GP).
   double operator()(const num::Vec& x) const;
 
+  /// Evaluates every point, num::kRffLanes points per kernel block;
+  /// out[i] is bitwise identical to (*this)(points[i]).  Throws on a
+  /// dimension mismatch.
+  num::Vec evaluate_many(const std::vector<num::Vec>& points) const;
+
+  /// The two halves of evaluate_many, for callers that split the
+  /// feature loop over threads.  feature_terms writes rows
+  /// [m_begin, m_end) of `tile` (num_features() x num::kRffLanes) from
+  /// one lane block packed by num::pack_rff_lanes; it allocates nothing.
+  void feature_terms(const double* block, std::size_t m_begin,
+                     std::size_t m_end, double* tile) const;
+  /// The function value at `lane` of a fully written tile: the terms
+  /// summed in feature order, as operator() sums them.
+  double lane_value(const double* tile, std::size_t lane) const;
+
   std::size_t input_dim() const { return omega_.cols(); }
   std::size_t num_features() const { return omega_.rows(); }
 
@@ -36,17 +54,16 @@ class SampledFunction {
                                                    Rng& rng,
                                                    std::size_t num_features);
 
-  num::Matrix omega_;   // M x d spectral frequencies
-  num::Vec phase_;      // M phases
-  num::Vec weights_;    // M posterior weights
-  double feat_scale_ = 1.0;  // sqrt(2 sv / M)
+  num::Matrix omega_;  // M x d spectral frequencies
+  num::Vec phase_;     // M phases
+  num::Vec coef_;      // M posterior weights times sqrt(2 sv / M)
   double y_mean_ = 0.0;
   double y_scale_ = 1.0;
 };
 
-/// Draws one function from the GP posterior (prior if the GP has no data).
-/// `num_features` trades approximation quality for speed; 128-256 is
-/// plenty for acquisition purposes.
+/// Draws one function from the GP posterior.  The GP must have data
+/// (throws otherwise).  `num_features` (>= 1) trades approximation
+/// quality for speed; 128-256 is plenty for acquisition purposes.
 SampledFunction sample_posterior_function(const GpRegressor& gp, Rng& rng,
                                           std::size_t num_features = 128);
 

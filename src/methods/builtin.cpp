@@ -126,6 +126,7 @@ class ParmisMethod final : public Method {
     parmis_config.seed = ctx.seed;
     parmis_config.initial_thetas =
         limited_anchors(problem, ctx.anchor_limit);
+    parmis_config.pool = ctx.pool;
     core::Parmis parmis(problem.evaluation_fn(), problem.theta_dim(),
                         ctx.objectives.size(), parmis_config);
     const core::ParmisResult result = parmis.run();

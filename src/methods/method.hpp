@@ -50,6 +50,9 @@
 namespace parmis::scenario {
 struct ScenarioSpec;
 }
+namespace parmis::exec {
+class ThreadPool;
+}
 
 namespace parmis::methods {
 
@@ -65,7 +68,10 @@ class MethodConfig {
 /// Everything one campaign cell hands a method.  All referenced objects
 /// are cell-local (built by run_cell for this cell alone) and outlive
 /// the `run` call; the platform is mutable because evaluation advances
-/// its sensor-noise stream.
+/// its sensor-noise stream.  `pool` is the campaign's worker pool (or
+/// nullptr): methods may fan work inside the cell over it, provided the
+/// result is bitwise identical at every pool size — parmis does so in
+/// its front sampler.
 struct CellContext {
   const scenario::ScenarioSpec& spec;
   soc::Platform& platform;
@@ -74,6 +80,7 @@ struct CellContext {
   const runtime::EvaluatorConfig& eval_config;
   std::uint64_t seed = 0;
   std::size_t anchor_limit = 0;
+  exec::ThreadPool* pool = nullptr;
 };
 
 /// What a method hands back to the runner.

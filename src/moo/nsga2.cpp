@@ -78,11 +78,29 @@ void assign_ranks_and_crowding(std::vector<Individual>& pop) {
   }
 }
 
+/// Evaluates `genomes` as one batch and appends the individuals to
+/// `out`, in order.
+void evaluate_into(const BatchObjectiveFn& fn, std::vector<Vec>&& genomes,
+                   std::vector<Individual>& out, Nsga2Result& result) {
+  std::vector<Vec> objs = fn(genomes);
+  require(objs.size() == genomes.size(),
+          "nsga2: batch objective returned the wrong number of results");
+  for (std::size_t i = 0; i < genomes.size(); ++i) {
+    require(!objs[i].empty(),
+            "nsga2: objective function returned empty vector");
+    Individual ind;
+    ind.x = std::move(genomes[i]);
+    ind.objs = std::move(objs[i]);
+    out.push_back(std::move(ind));
+  }
+  result.evaluations += genomes.size();
+}
+
 }  // namespace
 
-Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
-                           const Vec& upper, const Nsga2Config& config,
-                           const std::vector<Vec>& initial_points) {
+Nsga2Result nsga2_minimize_batch(const BatchObjectiveFn& fn, const Vec& lower,
+                                 const Vec& upper, const Nsga2Config& config,
+                                 const std::vector<Vec>& initial_points) {
   require(!lower.empty(), "nsga2: empty bounds");
   require(lower.size() == upper.size(), "nsga2: bound size mismatch");
   for (std::size_t i = 0; i < lower.size(); ++i) {
@@ -98,65 +116,56 @@ Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
   Rng rng(config.seed);
   Nsga2Result result;
 
-  auto evaluate = [&](const Vec& x) {
-    Vec o = fn(x);
-    require(!o.empty(), "nsga2: objective function returned empty vector");
-    ++result.evaluations;
-    return o;
-  };
-
   // --- initial population: seeds (clamped) then uniform random fill ---
+  std::vector<Vec> genomes;
+  genomes.reserve(config.population_size);
+  for (const Vec& seed_x : initial_points) {
+    if (genomes.size() == config.population_size) break;
+    require(seed_x.size() == d, "nsga2: seed point dimension mismatch");
+    Vec x = seed_x;
+    for (std::size_t i = 0; i < d; ++i) x[i] = clamp(x[i], lower[i], upper[i]);
+    genomes.push_back(std::move(x));
+  }
+  while (genomes.size() < config.population_size) {
+    Vec x(d);
+    for (std::size_t i = 0; i < d; ++i) x[i] = rng.uniform(lower[i], upper[i]);
+    genomes.push_back(std::move(x));
+  }
   std::vector<Individual> pop;
   pop.reserve(config.population_size);
-  for (const Vec& seed_x : initial_points) {
-    if (pop.size() == config.population_size) break;
-    require(seed_x.size() == d, "nsga2: seed point dimension mismatch");
-    Individual ind;
-    ind.x = seed_x;
-    for (std::size_t i = 0; i < d; ++i) {
-      ind.x[i] = clamp(ind.x[i], lower[i], upper[i]);
-    }
-    ind.objs = evaluate(ind.x);
-    pop.push_back(std::move(ind));
-  }
-  while (pop.size() < config.population_size) {
-    Individual ind;
-    ind.x.resize(d);
-    for (std::size_t i = 0; i < d; ++i) {
-      ind.x[i] = rng.uniform(lower[i], upper[i]);
-    }
-    ind.objs = evaluate(ind.x);
-    pop.push_back(std::move(ind));
-  }
+  evaluate_into(fn, std::move(genomes), pop, result);
   assign_ranks_and_crowding(pop);
 
   // --- generational loop ---
   for (std::size_t gen = 0; gen < config.generations; ++gen) {
-    std::vector<Individual> offspring;
-    offspring.reserve(config.population_size);
-    while (offspring.size() < config.population_size) {
-      Individual c1 = tournament(pop, rng);
-      Individual c2 = tournament(pop, rng);
+    // Offspring genomes first (tournaments read only the parents), then
+    // one batch evaluation of the whole generation.
+    std::vector<Vec> children;
+    children.reserve(config.population_size);
+    while (children.size() < config.population_size) {
+      Vec c1 = tournament(pop, rng).x;
+      Vec c2 = tournament(pop, rng).x;
       if (rng.bernoulli(config.crossover_probability)) {
         for (std::size_t i = 0; i < d; ++i) {
           if (rng.bernoulli(0.5)) {
-            sbx_gene(c1.x[i], c2.x[i], lower[i], upper[i], config.sbx_eta,
-                     rng);
+            sbx_gene(c1[i], c2[i], lower[i], upper[i], config.sbx_eta, rng);
           }
         }
       }
-      for (Individual* child : {&c1, &c2}) {
+      for (Vec* child : {&c1, &c2}) {
         for (std::size_t i = 0; i < d; ++i) {
           if (rng.bernoulli(mut_p)) {
-            polynomial_mutation_gene(child->x[i], lower[i], upper[i],
+            polynomial_mutation_gene((*child)[i], lower[i], upper[i],
                                      config.mutation_eta, rng);
           }
         }
-        child->objs = evaluate(child->x);
-        offspring.push_back(std::move(*child));
-        if (offspring.size() == config.population_size) break;
+        children.push_back(std::move(*child));
+        if (children.size() == config.population_size) break;
       }
     }
+    std::vector<Individual> offspring;
+    offspring.reserve(config.population_size);
+    evaluate_into(fn, std::move(children), offspring, result);
 
     // Environmental selection over parents + offspring.
     std::vector<Individual> merged = std::move(pop);
@@ -190,6 +199,18 @@ Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
     result.pareto_set.push_back({pop[idx].x, pop[idx].objs});
   }
   return result;
+}
+
+Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
+                           const Vec& upper, const Nsga2Config& config,
+                           const std::vector<Vec>& initial_points) {
+  const BatchObjectiveFn batch = [&fn](const std::vector<Vec>& xs) {
+    std::vector<Vec> objs;
+    objs.reserve(xs.size());
+    for (const Vec& x : xs) objs.push_back(fn(x));
+    return objs;
+  };
+  return nsga2_minimize_batch(batch, lower, upper, config, initial_points);
 }
 
 }  // namespace parmis::moo

@@ -6,6 +6,12 @@
 // ablation benches and the ZDT validation tests.  Operators: binary
 // tournament on (rank, crowding), simulated binary crossover (SBX), and
 // polynomial mutation, all bound-respecting.
+//
+// The core is batch-native: each generation's offspring genomes are
+// built first and then evaluated in one call, so an objective can
+// vectorise or parallelise across the population.  Offspring creation
+// never reads offspring objectives, so the RNG stream — and hence the
+// result — is the same as evaluating each child as it is made.
 #ifndef PARMIS_MOO_NSGA2_HPP
 #define PARMIS_MOO_NSGA2_HPP
 
@@ -21,6 +27,11 @@ using num::Vec;
 
 /// A vector-valued objective: x in R^d -> objectives in R^k (minimized).
 using MultiObjectiveFn = std::function<Vec(const Vec&)>;
+
+/// The same objective over a whole batch: returns one objective vector
+/// per input point, in input order.
+using BatchObjectiveFn =
+    std::function<std::vector<Vec>(const std::vector<Vec>&)>;
 
 /// NSGA-II tuning parameters.
 struct Nsga2Config {
@@ -46,10 +57,17 @@ struct Nsga2Result {
   std::size_t evaluations = 0;
 };
 
-/// Runs NSGA-II on `fn` over the box [lower, upper].
+/// Runs NSGA-II on `fn` over the box [lower, upper], calling `fn` once
+/// for the initial population and once per generation.
 /// `lower`/`upper` must have equal size d >= 1 with lower[i] < upper[i].
 /// Optional `initial_points` seed part of the first population (clamped
 /// to the box); useful for warm-starting from incumbent policies.
+Nsga2Result nsga2_minimize_batch(const BatchObjectiveFn& fn, const Vec& lower,
+                                 const Vec& upper, const Nsga2Config& config,
+                                 const std::vector<Vec>& initial_points = {});
+
+/// Per-point form: nsga2_minimize_batch with `fn` applied to each point
+/// of a batch in order (same calls, same order, same result).
 Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
                            const Vec& upper, const Nsga2Config& config,
                            const std::vector<Vec>& initial_points = {});

@@ -1,6 +1,7 @@
 #include "numerics/batch.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <new>
 
@@ -84,6 +85,27 @@ AlignedBuffer::AlignedBuffer(std::size_t size) : size_(size) {
 
 void AlignedBuffer::zero() {
   if (size_ > 0) std::memset(data_.get(), 0, size_ * sizeof(double));
+}
+
+void rff_lane_terms(const double* block, std::size_t d, const double* omega,
+                    const double* phase, const double* coef,
+                    std::size_t m_begin, std::size_t m_end, double* terms) {
+  for (std::size_t m = m_begin; m < m_end; ++m) {
+    const double* wrow = omega + m * d;
+    // One accumulator per lane; the fixed trip count lets the compiler
+    // keep all 32 in vector registers across the c loop.
+    alignas(64) double acc[kRffLanes];
+    for (std::size_t l = 0; l < kRffLanes; ++l) acc[l] = phase[m];
+    for (std::size_t c = 0; c < d; ++c) {
+      const double w = wrow[c];
+      const double* xc = block + c * kRffLanes;
+      for (std::size_t l = 0; l < kRffLanes; ++l) acc[l] += w * xc[l];
+    }
+    double* out = terms + m * kRffLanes;
+    for (std::size_t l = 0; l < kRffLanes; ++l) {
+      out[l] = coef[m] * std::cos(acc[l]);
+    }
+  }
 }
 
 }  // namespace parmis::num

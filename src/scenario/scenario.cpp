@@ -1,6 +1,7 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "apps/benchmarks.hpp"
@@ -77,6 +78,29 @@ void ScenarioSpec::validate() const {
   }
   require(parmis.num_initial >= 1, who + "parmis.num_initial must be >= 1");
   require(parmis.theta_bound > 0.0, who + "parmis.theta_bound must be > 0");
+  // Every acquisition knob scenario JSON accepts is checked here, so a
+  // hostile value fails at validation instead of mid-cell (or, worse,
+  // being silently clamped or replaced by a default inside NSGA-II).
+  const core::AcquisitionConfig& acq = parmis.acquisition;
+  require(acq.num_mc_samples >= 1,
+          who + "parmis.acquisition.num_mc_samples must be >= 1");
+  require(acq.rff_features >= 1,
+          who + "parmis.acquisition.rff_features must be >= 1");
+  const moo::Nsga2Config& fs = acq.front_sampler;
+  const std::string fs_who = who + "parmis.acquisition.front_sampler.";
+  require(fs.population_size >= 4 && fs.population_size % 2 == 0,
+          fs_who + "population_size must be even and >= 4");
+  require(fs.crossover_probability >= 0.0 && fs.crossover_probability <= 1.0,
+          fs_who + "crossover_probability must be in [0, 1]");
+  require(fs.mutation_probability == -1.0 ||
+              (fs.mutation_probability > 0.0 &&
+               fs.mutation_probability <= 1.0),
+          fs_who + "mutation_probability must be -1 (meaning 1/d) or in "
+                   "(0, 1]");
+  require(std::isfinite(fs.sbx_eta) && fs.sbx_eta >= 0.0,
+          fs_who + "sbx_eta must be finite and >= 0");
+  require(std::isfinite(fs.mutation_eta) && fs.mutation_eta >= 0.0,
+          fs_who + "mutation_eta must be finite and >= 0");
 }
 
 namespace {

@@ -4,14 +4,18 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "apps/benchmarks.hpp"
 #include "common/error.hpp"
 #include "core/acquisition.hpp"
-#include "exec/thread_pool.hpp"
 #include "core/parmis.hpp"
+#include "exec/thread_pool.hpp"
+#include "gp/rff.hpp"
 #include "core/policy_search.hpp"
 #include "moo/hypervolume.hpp"
+#include "moo/nsga2.hpp"
 #include "moo/pareto.hpp"
 
 namespace parmis::core {
@@ -177,6 +181,85 @@ TEST(Acquisition, BatchedValuesBitwiseMatchScalarValue) {
 
   EXPECT_TRUE(acq.values({}).empty());
   EXPECT_THROW(acq.values({Vec(d + 1, 0.0)}), Error);
+}
+
+/// True when both point sets have the same shape and bit patterns.
+bool same_bits(const std::vector<Vec>& a, const std::vector<Vec>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size() ||
+        std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(double)) !=
+            0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Acquisition, FrontSamplerIsBitwiseInvariantToPoolSize) {
+  // The batched front sampler must reproduce NSGA-II run point by point
+  // over the same posterior draws, and a 1-, 2- or 4-thread pool must
+  // not change a bit of it.  40 features span three kFeatureChunk
+  // chunks (the last one partial); a population of 38 spans two lane
+  // blocks with a ragged tail.
+  const std::size_t d = 5;
+  Rng data_rng(41);
+  const auto models = fitted_models(two_anchor_problem(d), d, 24, data_rng);
+  const Vec lo(d, -2.0), hi(d, 2.0);
+  AcquisitionConfig cfg;
+  cfg.num_mc_samples = 2;
+  cfg.rff_features = 40;
+  cfg.front_sampler.population_size = 38;
+  cfg.front_sampler.generations = 6;
+  static_assert(InformationGainAcquisition::kFeatureChunk < 40);
+  static_assert(num::kRffLanes < 38);
+
+  // Reference: the per-point NSGA-II adapter over the same draws.
+  std::vector<std::vector<Vec>> ref_fronts;
+  std::vector<Vec> ref_thetas;
+  {
+    Rng rng(42);
+    for (std::size_t s = 0; s < cfg.num_mc_samples; ++s) {
+      std::vector<gp::SampledFunction> draws;
+      for (const auto& m : models) {
+        draws.push_back(
+            gp::sample_posterior_function(m, rng, cfg.rff_features));
+      }
+      moo::Nsga2Config nsga = cfg.front_sampler;
+      nsga.seed = rng.next_u64();
+      const moo::Nsga2Result res = moo::nsga2_minimize(
+          [&draws](const Vec& theta) {
+            return Vec{draws[0](theta), draws[1](theta)};
+          },
+          lo, hi, nsga);
+      std::vector<Vec> front;
+      for (const auto& sol : res.pareto_set) {
+        front.push_back(sol.objectives);
+        ref_thetas.push_back(sol.x);
+      }
+      ref_fronts.push_back(std::move(front));
+    }
+  }
+
+  const auto check = [&](exec::ThreadPool* pool) {
+    Rng rng(42);
+    const InformationGainAcquisition acq(models, lo, hi, cfg, rng, pool);
+    ASSERT_EQ(acq.sampled_fronts().size(), ref_fronts.size());
+    for (std::size_t s = 0; s < ref_fronts.size(); ++s) {
+      EXPECT_TRUE(same_bits(acq.sampled_fronts()[s], ref_fronts[s]))
+          << "sample " << s;
+    }
+    EXPECT_TRUE(same_bits(acq.frontier_thetas(), ref_thetas));
+  };
+  {
+    SCOPED_TRACE("no pool");
+    check(nullptr);
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    exec::ThreadPool pool(threads);
+    check(&pool);
+  }
 }
 
 TEST(Acquisition, RequiresFittedModels) {

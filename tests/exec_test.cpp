@@ -1,6 +1,6 @@
 // Unit tests for src/exec: thread pool semantics and stress, campaign
 // determinism at 1 vs N threads, and the intra-run parallel wiring
-// (GlobalEvaluator per-app fan-out, PaRMIS acquisition scoring).
+// (GlobalEvaluator per-app fan-out, PaRMIS front sampling).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -254,7 +254,7 @@ TEST(GlobalEvaluatorPool, NonClonablePolicyFallsBackToSerial) {
   EXPECT_EQ(evaluator.last_per_app_metrics().size(), apps.size());
 }
 
-TEST(ParmisPool, AcquisitionScoringPoolDoesNotChangeSearch) {
+TEST(ParmisPool, FrontSamplerPoolDoesNotChangeSearch) {
   const scenario::ScenarioSpec spec = small_spec();
   const soc::SocSpec soc_spec = scenario::make_platform_spec(spec);
 

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -376,6 +378,66 @@ TEST(Rff, FunctionDimensionsMatchGp) {
   EXPECT_EQ(f.input_dim(), 2u);
   EXPECT_EQ(f.num_features(), 32u);
   EXPECT_THROW(f({1.0}), Error);
+}
+
+/// A GP fitted on `n` uniform points in [-2, 2]^d with noisy targets.
+GpRegressor random_gp(std::size_t d, std::size_t n, double lengthscale,
+                      Rng& rng) {
+  Matrix X(n, d);
+  Vec y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = 0.0;
+    for (std::size_t c = 0; c < d; ++c) {
+      X(i, c) = rng.uniform(-2.0, 2.0);
+      sum += X(i, c);
+    }
+    y[i] = std::sin(sum / static_cast<double>(d)) + 0.1 * rng.normal();
+  }
+  GpRegressor gp(std::make_unique<RbfKernel>(lengthscale, 1.0), 1e-4);
+  gp.set_data(X, y);
+  return gp;
+}
+
+TEST(Rff, EvaluateManyBitwiseMatchesPerPointCalls) {
+  // The 32-lane kernel keeps operator()'s per-point operation order, so
+  // every lane is memcmp-equal to a one-point call.  31/33/65 points
+  // leave ragged tails whose padding lanes repeat the last point and
+  // must not leak into the output.  The paper-scale shape (d = 445,
+  // M = 96) and a small one; 40 training rows also take the feature
+  // matrix behind the draw through two lane blocks.
+  struct Shape {
+    std::size_t d, features;
+    double lengthscale;
+  };
+  for (const Shape shape : {Shape{445, 96, 20.0}, Shape{3, 20, 1.0}}) {
+    SCOPED_TRACE("d = " + std::to_string(shape.d));
+    Rng rng(21 + shape.d);
+    const GpRegressor gp = random_gp(shape.d, 40, shape.lengthscale, rng);
+    const SampledFunction f =
+        sample_posterior_function(gp, rng, shape.features);
+    for (const std::size_t n : {1u, 31u, 32u, 33u, 65u}) {
+      std::vector<Vec> points(n, Vec(shape.d));
+      for (auto& p : points) {
+        for (auto& v : p) v = rng.uniform(-2.0, 2.0);
+      }
+      const Vec batch = f.evaluate_many(points);
+      ASSERT_EQ(batch.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double ref = f(points[i]);
+        EXPECT_EQ(std::memcmp(&ref, &batch[i], sizeof(double)), 0)
+            << "n = " << n << ", point " << i;
+      }
+    }
+  }
+}
+
+TEST(Rff, EvaluateManyRejectsDimensionMismatch) {
+  Rng rng(22);
+  const GpRegressor gp = random_gp(3, 8, 1.0, rng);
+  const SampledFunction f = sample_posterior_function(gp, rng, 16);
+  EXPECT_TRUE(f.evaluate_many({}).empty());
+  EXPECT_THROW(f.evaluate_many({Vec(3, 0.0), Vec(4, 0.0)}), Error);
+  EXPECT_THROW(f.evaluate_many({Vec(2, 0.0)}), Error);
 }
 
 // ----------------------------------------------------- batched prediction

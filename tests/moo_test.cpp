@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -485,6 +487,65 @@ TEST(Nsga2, CrowdingDegenerateObjective) {
   const auto res = nsga2_minimize(
       [](const Vec& x) { return Vec{x[0], 1.0}; }, lo, hi, cfg);
   EXPECT_FALSE(res.pareto_set.empty());
+}
+
+void expect_same_solutions(const std::vector<Nsga2Solution>& a,
+                           const std::vector<Nsga2Solution>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].x, b[i].x) << "solution " << i;
+    EXPECT_EQ(a[i].objectives, b[i].objectives) << "solution " << i;
+  }
+}
+
+TEST(Nsga2, BatchCoreMatchesPerPointAdapterOnZdt1) {
+  // One NSGA-II implementation: nsga2_minimize is the per-point adapter
+  // over the batch core.  Building a generation's genomes before
+  // evaluating it must leave the RNG stream, hence the whole run,
+  // unchanged — with and without seeded initial points.
+  Nsga2Config cfg;
+  cfg.population_size = 20;
+  cfg.generations = 15;
+  cfg.seed = 31;
+  const Vec lo(6, 0.0), hi(6, 1.0);
+  std::vector<std::size_t> batch_sizes;
+  const BatchObjectiveFn batch = [&](const std::vector<Vec>& xs) {
+    batch_sizes.push_back(xs.size());
+    std::vector<Vec> objs;
+    for (const Vec& x : xs) objs.push_back(zdt1(x));
+    return objs;
+  };
+  for (const std::vector<Vec>& seeds :
+       {std::vector<Vec>{}, std::vector<Vec>{Vec(6, 0.0), Vec(6, 1.5)}}) {
+    SCOPED_TRACE("seeds: " + std::to_string(seeds.size()));
+    batch_sizes.clear();
+    const Nsga2Result per_point = nsga2_minimize(
+        [](const Vec& x) { return zdt1(x); }, lo, hi, cfg, seeds);
+    const Nsga2Result batched = nsga2_minimize_batch(batch, lo, hi, cfg, seeds);
+    expect_same_solutions(per_point.pareto_set, batched.pareto_set);
+    expect_same_solutions(per_point.final_population,
+                          batched.final_population);
+    EXPECT_EQ(per_point.evaluations, batched.evaluations);
+    // One call for the initial population, then one per generation.
+    EXPECT_EQ(batch_sizes,
+              std::vector<std::size_t>(cfg.generations + 1,
+                                       cfg.population_size));
+  }
+}
+
+TEST(Nsga2, BatchObjectiveMustAnswerEveryPoint) {
+  Nsga2Config cfg;
+  cfg.population_size = 8;
+  cfg.generations = 2;
+  const Vec lo(2, 0.0), hi(2, 1.0);
+  const BatchObjectiveFn short_batch = [](const std::vector<Vec>& xs) {
+    return std::vector<Vec>(xs.size() - 1, Vec{0.0, 0.0});
+  };
+  EXPECT_THROW(nsga2_minimize_batch(short_batch, lo, hi, cfg), Error);
+  const BatchObjectiveFn empty_objs = [](const std::vector<Vec>& xs) {
+    return std::vector<Vec>(xs.size());
+  };
+  EXPECT_THROW(nsga2_minimize_batch(empty_objs, lo, hi, cfg), Error);
 }
 
 TEST(Nsga2, ValidatesConfiguration) {

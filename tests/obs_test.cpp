@@ -24,6 +24,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/stopwatch.hpp"
+#include "core/acquisition.hpp"
 #include "obs/distributed.hpp"
 #include "exec/campaign.hpp"
 #include "exec/thread_pool.hpp"
@@ -790,6 +791,40 @@ TEST(DigestNeutrality, TracingOnOffLeavesCellResultsBitIdentical) {
 
   EXPECT_EQ(cell_digest(off), cell_digest(on));
   EXPECT_GT(Tracer::buffered_events(), 0u);  // tracing did observe
+
+#ifdef PARMIS_OBS_ENABLED
+  // The front-sampler spans are among what was observed: one
+  // acq/sample_posterior and one acq/front_sample per MC sample of
+  // every PaRMIS iteration, carrying the sampler's budget.
+  ASSERT_EQ(Tracer::dropped_events(), 0u);
+  const core::AcquisitionConfig& acq = spec.parmis.acquisition;
+  const std::string features =
+      "features=" + std::to_string(acq.rff_features);
+  const std::string budget =
+      features +
+      ";population=" + std::to_string(acq.front_sampler.population_size) +
+      ";generations=" + std::to_string(acq.front_sampler.generations);
+  const json::Value events = Tracer::drain().at("traceEvents");
+  std::size_t posterior_spans = 0, front_spans = 0;
+  for (const json::Value& e : events.items()) {
+    if (e.at("ph").as_string() != "X" || e.at("cat").as_string() != "acq") {
+      continue;
+    }
+    const std::string name = e.at("name").as_string();
+    const std::string detail = e.at("args").at("detail").as_string();
+    if (name == "sample_posterior") {
+      ++posterior_spans;
+      EXPECT_NE(detail.find(features), std::string::npos) << detail;
+    } else if (name == "front_sample") {
+      ++front_spans;
+      EXPECT_NE(detail.find(budget), std::string::npos) << detail;
+    }
+  }
+  const std::size_t expected =
+      spec.parmis.max_iterations * acq.num_mc_samples;
+  EXPECT_EQ(posterior_spans, expected);
+  EXPECT_EQ(front_spans, expected);
+#endif
 }
 
 TEST(DigestNeutrality, GpFitAndPredictAreBitIdenticalUnderTracing) {

@@ -222,6 +222,108 @@ TEST(ScenarioSerde, StrictDecodingRejectsBadDocuments) {
       "scenario \"who\"");
 }
 
+// ------------------------------------- acquisition knob validation
+
+/// A registry scenario whose JSON form has `key` = `value` in its
+/// parmis.acquisition block (or in the nested front_sampler block when
+/// `in_front_sampler`), decoded back into a spec.
+scenario::ScenarioSpec with_acquisition_knob(const std::string& key,
+                                             json::Value value,
+                                             bool in_front_sampler) {
+  json::Value doc =
+      scenario_to_json(scenario::make_scenario("xu3-mibench-te"));
+  doc.set("name", json::Value::string("hostile-acq"));
+  json::Value parmis = doc.at("parmis");
+  json::Value acq = parmis.at("acquisition");
+  if (in_front_sampler) {
+    json::Value fs = acq.at("front_sampler");
+    fs.set(key, std::move(value));
+    acq.set("front_sampler", std::move(fs));
+  } else {
+    acq.set(key, std::move(value));
+  }
+  parmis.set("acquisition", std::move(acq));
+  doc.set("parmis", std::move(parmis));
+  return scenario_from_json(doc, "test");
+}
+
+/// validate() must reject the knob value with a message naming the
+/// scenario and the field.
+void expect_knob_rejected(const std::string& key, double value,
+                          bool in_front_sampler) {
+  SCOPED_TRACE(key + " = " + std::to_string(value));
+  const scenario::ScenarioSpec spec = with_acquisition_knob(
+      key, json::Value::number(value), in_front_sampler);
+  try {
+    spec.validate();
+    ADD_FAILURE() << "validate() accepted the hostile value";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("scenario \"hostile-acq\""), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(key), std::string::npos) << what;
+  }
+}
+
+void expect_knob_accepted(const std::string& key, double value,
+                          bool in_front_sampler) {
+  SCOPED_TRACE(key + " = " + std::to_string(value));
+  EXPECT_NO_THROW(with_acquisition_knob(key, json::Value::number(value),
+                                        in_front_sampler)
+                      .validate());
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(AcquisitionValidation, RejectsZeroRffFeatures) {
+  expect_knob_rejected("rff_features", 0, false);
+  expect_knob_accepted("rff_features", 1, false);
+}
+
+TEST(AcquisitionValidation, RejectsZeroMonteCarloSamples) {
+  expect_knob_rejected("num_mc_samples", 0, false);
+  expect_knob_accepted("num_mc_samples", 1, false);
+}
+
+TEST(AcquisitionValidation, RejectsOddOrTinyPopulation) {
+  expect_knob_rejected("population_size", 7, true);
+  expect_knob_rejected("population_size", 2, true);
+  expect_knob_rejected("population_size", 0, true);
+  expect_knob_accepted("population_size", 4, true);
+}
+
+TEST(AcquisitionValidation, RejectsCrossoverProbabilityOutsideUnitInterval) {
+  expect_knob_rejected("crossover_probability", 1.5, true);
+  expect_knob_rejected("crossover_probability", -0.1, true);
+  expect_knob_rejected("crossover_probability", kNaN, true);
+  expect_knob_accepted("crossover_probability", 0.0, true);
+  expect_knob_accepted("crossover_probability", 1.0, true);
+}
+
+TEST(AcquisitionValidation, RejectsMutationProbabilityOtherThanMinusOneOrUnit) {
+  expect_knob_rejected("mutation_probability", 0.0, true);
+  expect_knob_rejected("mutation_probability", 1.5, true);
+  expect_knob_rejected("mutation_probability", -0.5, true);
+  expect_knob_rejected("mutation_probability", kNaN, true);
+  expect_knob_accepted("mutation_probability", -1.0, true);
+  expect_knob_accepted("mutation_probability", 1.0, true);
+}
+
+TEST(AcquisitionValidation, RejectsNegativeOrNonFiniteSbxEta) {
+  expect_knob_rejected("sbx_eta", -1.0, true);
+  expect_knob_rejected("sbx_eta", kInf, true);
+  expect_knob_rejected("sbx_eta", kNaN, true);
+  expect_knob_accepted("sbx_eta", 0.0, true);
+}
+
+TEST(AcquisitionValidation, RejectsNegativeOrNonFiniteMutationEta) {
+  expect_knob_rejected("mutation_eta", -2.0, true);
+  expect_knob_rejected("mutation_eta", kInf, true);
+  expect_knob_rejected("mutation_eta", kNaN, true);
+  expect_knob_accepted("mutation_eta", 0.0, true);
+}
+
 TEST(ScenarioSerde, U64AboveDoublePrecisionTravelsAsString) {
   scenario::ScenarioSpec spec = scenario::make_scenario("xu3-mibench-te");
   spec.workload_seed = 0xFFFFFFFFFFFFFFFFULL;  // not a double-exact value
